@@ -3,14 +3,13 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: ci test test-reference test-smoke test-slow bench scale farm figures figures-full clean-cache
+.PHONY: ci test test-reference test-smoke test-slow paper-shape scale farm figures figures-full clean-cache
 
 # What CI runs (see .github/workflows/ci.yml): the fast tier-1 suite,
-# the same suite on the pure-heap reference engine, and a bench smoke
-# run (single-run ops/sec + the six-model digest matrix, no sweep).
-ci: test test-reference
-	$(PYTHON) -m repro bench --transactions 10 --no-sweep \
-		--output /tmp/bench-ci.json
+# the same suite on the pure-heap reference engine, the paper-shape
+# asserts, and every fast-vs-reference parity check at smoke size.
+ci: test test-reference paper-shape
+	$(PYTHON) -m repro check --transactions 10
 
 # Tier-1: the full fast suite (includes the parallel sweep smoke tests).
 test:
@@ -29,23 +28,20 @@ test-smoke:
 test-slow:
 	$(PYTHON) -m pytest -q -m slow
 
-# Time the sweep executor (serial vs parallel vs warm cache) and
-# refresh BENCH_sweep.json.
-bench:
-	$(PYTHON) -m repro bench --jobs 4
+# The paper's qualitative claims, asserted on regenerated tiny-scale
+# figures (timing off; perfbench/ does the timing).
+paper-shape:
+	$(PYTHON) -m pytest benchmarks/ -q --benchmark-disable
 
-# The core-count scaling sweep: messages-per-flush and ops/s at
-# 4..64 cores (arbiter vs all-to-all), refreshing only the `scaling`
-# family of BENCH_sweep.json.
+# The core-count scaling check: messages per flush at 4..64 cores
+# (arbiter vs all-to-all), slope bands, and 64-core counter parity.
 scale:
-	$(PYTHON) -m repro bench --no-sweep --only scaling \
-		--cores 4,8,16,32,64 --check-digests
+	$(PYTHON) -m repro check --only scaling --cores 4,8,16,32,64
 
-# The delta-planner farm bench: cold plan+run, warm no-op replan,
-# two-shard merge, and a scoped version bump, refreshing only the
-# `farm` family of BENCH_sweep.json.
+# The delta-planner invariants: warm no-op replan, two-shard merge,
+# and a scoped version bump.
 farm:
-	$(PYTHON) -m repro bench --no-sweep --only farm --check-digests
+	$(PYTHON) -m repro check --only farm
 
 figures:
 	$(PYTHON) -m repro figures all --scale small

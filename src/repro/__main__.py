@@ -7,8 +7,9 @@ Subcommands:
 * ``figures`` -- regenerate the paper's figures (delegates to
   :mod:`repro.harness.experiments`; sweeps fan out over ``--jobs``
   worker processes and reuse cached results from ``.repro-cache/``).
-* ``bench``   -- time the sweep executor serial vs parallel vs warm
-  cache and write ``BENCH_sweep.json``.
+* ``check``   -- run the fast-vs-reference parity checks (digests,
+  counters, crash and campaign verdicts, planner invariants); exit 1 on
+  any mismatch.  Host-time measurement lives in ``perfbench/``.
 * ``cache``   -- inspect (``--stats``) or garbage-collect (``--prune``)
   the content-addressed result cache.
 * ``crash``   -- crash a workload at a given cycle, check consistency,
@@ -29,7 +30,7 @@ Examples::
     python -m repro run --workload queue --design LB++ --scale small
     python -m repro run --workload ssca2 --model BSP --design LB
     python -m repro figures fig11 fig12 --scale tiny --jobs 4
-    python -m repro bench --jobs 4
+    python -m repro check --only multicore
     python -m repro crash --workload queue --cycle 20000
     python -m repro crashsweep --workload pingpong --transactions 10
     python -m repro crashsweep --reorder-window 6 --expect-violation
@@ -177,17 +178,12 @@ def cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.harness.bench import digests_ok, run_bench
-    record = run_bench(jobs=args.jobs, seed=args.seed, output=args.output,
-                       transactions=args.transactions, profile=args.profile,
-                       sweep=not args.no_sweep, workload=args.workload,
-                       only=args.only, profile_top=args.profile_top,
-                       million=not args.no_million, cores=args.cores)
-    if args.check_digests and not digests_ok(record):
-        print("[bench] ERROR: fast/reference digest mismatch")
-        return 1
-    return 0
+def cmd_check(args: argparse.Namespace) -> int:
+    from repro.harness.check import all_match, run_checks
+    if all_match(run_checks(args)):
+        return 0
+    print("[check] FAILED: at least one row did not match", file=sys.stderr)
+    return 1
 
 
 def cmd_crash(args: argparse.Namespace) -> int:
@@ -264,7 +260,7 @@ def cmd_crash(args: argparse.Namespace) -> int:
 
 def cmd_crashsweep(args: argparse.Namespace) -> int:
     """Capture one run and validate every crash point of its history."""
-    from repro.harness.bench import _multicore_setup
+    from repro.harness.check import _multicore_setup
     from repro.recovery import capture_run, sweep_crash_points
     from repro.sim.faults import FaultConfig
     from repro.workloads.micro import make_benchmark
@@ -412,7 +408,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         if entry.repro:
             print(f"  repro: {entry.repro}")
     if args.check_digests:
-        from repro.harness.bench import reference_mode
+        from repro.sim.engine import reference_mode
         with reference_mode():
             reference = run_once()
         if reference.verdict_map() != report.verdict_map():
@@ -496,49 +492,28 @@ def build_parser() -> argparse.ArgumentParser:
                          help="report what --prune would delete")
     cache_p.set_defaults(func=cmd_cache)
 
-    bench_p = sub.add_parser(
-        "bench", help="time the sweep executor (writes BENCH_sweep.json)"
+    from repro.harness.check import CHECKS, parse_cores
+    check_p = sub.add_parser(
+        "check",
+        help="fast-vs-reference parity checks (exit 1 on any mismatch)",
     )
-    bench_p.add_argument("--jobs", type=int, default=4)
-    bench_p.add_argument("--seed", type=int, default=1)
-    bench_p.add_argument("--transactions", type=int, default=None,
-                         help="single-run length in transactions")
-    bench_p.add_argument("--profile", action="store_true",
-                         help="cProfile one single run into "
-                              "BENCH_profile.txt")
-    bench_p.add_argument("--profile-top", type=int, default=30,
-                         help="rows of the profile table --profile writes "
-                              "(default 30)")
-    bench_p.add_argument("--no-sweep", action="store_true",
-                         help="skip the sweep-executor timing (smoke mode)")
-    bench_p.add_argument("--no-million", action="store_true",
-                         help="skip the million-transaction scale run")
-    bench_p.add_argument("--workload", default=None,
-                         help="micro for the flush-bound run and --profile "
+    check_p.add_argument("--jobs", type=int, default=4,
+                         help="worker processes for the farm check")
+    check_p.add_argument("--seed", type=int, default=1)
+    check_p.add_argument("--transactions", type=int, default=None,
+                         help="length of the single, flush, multicore "
+                              "and serving runs")
+    check_p.add_argument("--workload", default=None,
+                         help="micro for the flush check "
                               "(default flushbound)")
-    bench_p.add_argument("--only",
-                         choices=("single", "flush", "multicore", "serving",
-                                  "scaling", "crash", "campaign", "farm"),
-                         default=None,
-                         help="run just one bench family (skips the "
-                              "matrix, crash-recovery, million, and sweep "
-                              "sections; 'scaling' runs the core-count "
-                              "sweep, 'crash' the exhaustive crash-point "
-                              "sweeps and fault-injection checks, "
-                              "'campaign' the exhaustive fault campaign "
-                              "fast vs reference, 'farm' the planner "
-                              "cold/warm/sharded timings)")
-    from repro.harness.bench import parse_cores
-    bench_p.add_argument("--cores", type=parse_cores, default=None,
+    check_p.add_argument("--only", choices=tuple(CHECKS), default=None,
+                         help="run just one check family")
+    check_p.add_argument("--cores", type=parse_cores, default=None,
                          metavar="N,N,...",
-                         help="core counts for the scaling sweep: powers "
+                         help="core counts for the scaling check: powers "
                               "of two between 2 and 64 "
                               "(default 4,8,16,32,64)")
-    bench_p.add_argument("--check-digests", action="store_true",
-                         help="exit nonzero unless every fast-vs-reference "
-                              "digest and crash-recovery verdict matches")
-    bench_p.add_argument("--output", default="BENCH_sweep.json")
-    bench_p.set_defaults(func=cmd_bench)
+    check_p.set_defaults(func=cmd_check)
 
     crash_p = sub.add_parser("crash", help="crash + recovery demo")
     crash_p.add_argument("--workload", default="queue")

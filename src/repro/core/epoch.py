@@ -176,14 +176,6 @@ class Epoch:
         else:
             self.complete_waiters.append(callback)
 
-    def happens_before_predecessors(self) -> Set["Epoch"]:
-        """Direct hb-predecessors: prior same-core epoch + IDT sources."""
-        preds: Set[Epoch] = set(self.idt_sources)
-        prev = self.manager.predecessor_of(self)
-        if prev is not None:
-            preds.add(prev)
-        return preds
-
     def __repr__(self) -> str:
         strand = f"s{self.strand}" if self.strand else ""
         return (
@@ -514,13 +506,6 @@ class EpochManager:
                     break
         finally:
             engine.advance_holds -= 1
-
-    def next_flushable(self, horizon_of) -> Optional[Epoch]:
-        """The first epoch the arbiter could flush now (see
-        :meth:`flush_candidates`)."""
-        for epoch in self.flush_candidates(horizon_of):
-            return epoch
-        return None
 
     def flush_candidates(self, horizon_of):
         """Yield each strand's head epoch that is within its flush

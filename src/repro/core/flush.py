@@ -52,11 +52,7 @@ the full invariant list):
   deadline.  Idle banks (immediate acks) are pre-counted at ``begin``
   the same way.  Fault-injected runs keep per-ack events (drops and
   detours perturb arrival times), which is also what keeps the retry
-  state machine observable.  (The engine's
-  ``schedule_fanout``/``schedule_fanout_groups`` batch APIs remain
-  for broadcasts that need real per-receiver delivery -- one resident
-  queue entry regardless of receiver count -- but every broadcast leg
-  of this handshake turned out to virtualise away entirely.)
+  state machine observable.
 * Handshake *message* counts (as opposed to simulator events) are
   accounted per flush into the core's digest-invisible
   :class:`~repro.sim.stats.HandshakeStats`; batching never changes a

@@ -284,7 +284,7 @@ class Core:
             # becomes the session's virtual issue event; the session
             # merges it against the queues by (time, seq), which is the
             # scheduled path's ordering by construction.  The sequence
-            # allocation is ff_take_seq, inlined.
+            # number comes from the engine's own counter.
             eng = self._engine
             seq = eng._seq
             eng._seq = seq + 1
@@ -536,10 +536,11 @@ class Core:
                 v_time = t_d
                 v_seq = s_d
                 v_is_issue = False
-            # Inline ff_next_key: decide whether a foreign queued event
-            # precedes the virtual one without building key tuples.  A
-            # ready entry carries key (now, 0, seq) and now <= v_time
-            # always holds, so when the clocks tie only the seq decides;
+            # Decide whether a foreign queued event precedes the
+            # virtual one, in run()'s key order, without building key
+            # tuples.  A ready entry carries key (now, 0, seq) and
+            # now <= v_time always holds, so when the clocks tie only
+            # the seq decides;
             # for the until-bound both candidate times are <= now <=
             # until, so f_time only matters for the heap case.
             if (ready and ready[0][3] is not None

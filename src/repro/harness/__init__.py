@@ -11,8 +11,8 @@
   (BEP throughput), fig12 (conflicting epochs), fig13 (BSP epoch-size
   sweep), fig14 (BSP designs), plus the in-text ablations (clwb vs
   clflush, naive write-through BSP, inter-thread conflict share).
-* :mod:`repro.harness.bench`       -- times the executor serial vs
-  parallel vs warm cache; writes ``BENCH_sweep.json``.
+* :mod:`repro.harness.check`       -- fast-vs-reference parity checks
+  (``python -m repro check``); timing lives in ``perfbench/``.
 * :mod:`repro.harness.report`      -- table/series formatting.
 
 Command line::

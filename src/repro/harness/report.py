@@ -85,13 +85,12 @@ class FigureTable:
 
 
 def scaling_table(record: Dict) -> FigureTable:
-    """Render a ``scaling`` bench family as a per-core-count table.
+    """Render the ``scaling`` check's record as a per-core-count table.
 
     One row per core count; columns are the mean handshake messages per
     flush for the arbiter design (pingpong and sharded serving) and the
-    all-to-all strawman, plus pingpong fast-engine throughput.  Means
-    across core counts would be meaningless for a scaling curve, so the
-    table carries no summary row.
+    all-to-all strawman.  Means across core counts would be meaningless
+    for a scaling curve, so the table carries no summary row.
     """
     lbpp = "LB++"
     pingpong = record["pingpong"][lbpp]
@@ -99,7 +98,7 @@ def scaling_table(record: Dict) -> FigureTable:
     a2a = record["all_to_all"][lbpp]
     table = FigureTable(
         "msgs/flush (mean)",
-        ["arbiter", "sharded", "all-to-all", "ops/s"],
+        ["arbiter", "sharded", "all-to-all"],
         summary="none",
     )
     for n in record["cores"]:
@@ -108,7 +107,6 @@ def scaling_table(record: Dict) -> FigureTable:
             pingpong[key]["handshake"]["mean_flush_msgs"],
             sharded[key]["handshake"]["mean_flush_msgs"],
             a2a[key]["handshake"]["mean_flush_msgs"],
-            pingpong[key]["ops_per_sec"],
         ])
     return table
 

@@ -152,12 +152,6 @@ class NVRAMImage:
             self._commit(*args)
         return len(batch)
 
-    @property
-    def deferred_persists(self) -> int:
-        """Persists still buffered by the reorder fault (lost at a
-        crash)."""
-        return len(self._deferred)
-
     def commit_log(
         self,
         time: int,

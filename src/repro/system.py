@@ -1418,10 +1418,6 @@ class Multicore:
     # ------------------------------------------------------------------
     # Persistence primitives
     # ------------------------------------------------------------------
-    def line_in_l1(self, core_id: int, line: int, epoch: Epoch) -> bool:
-        entry = self.l1s[core_id].lookup(line)
-        return entry is not None and entry.dirty and entry.epoch is epoch
-
     def locate_epoch_line(
         self, epoch: Epoch, line: int
     ) -> Tuple[Optional[CacheEntry], Optional[int]]:

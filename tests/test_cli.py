@@ -82,12 +82,12 @@ def test_figures_accepts_executor_flags(tmp_path, capsys):
     assert rc == 0
 
 
-def test_bench_subcommand_registered():
+def test_check_subcommand_registered():
     parser = build_parser()
-    args = parser.parse_args(["bench", "--jobs", "2"])
+    args = parser.parse_args(["check", "--jobs", "2"])
     assert callable(args.func)
     assert args.jobs == 2
-    farm = parser.parse_args(["bench", "--only", "farm"])
+    farm = parser.parse_args(["check", "--only", "farm"])
     assert farm.only == "farm"
 
 

@@ -10,12 +10,12 @@ The 64-core scale-out work has three seams worth pinning:
   hand-built single-line epoch on 8 banks, the quadratic all-to-all
   contrast, and fast-vs-reference parity (the counters are
   digest-invisible, so the digest alone cannot catch a miscount);
-* the engine's batched fanout APIs (``schedule_fanout`` /
-  ``schedule_fanout_groups``) must deliver reference-identical
-  orderings -- every production broadcast leg is virtual now, so these
-  tests are the APIs' exercisers;
 * the ``--cores`` CLI validation must reject non-powers-of-two with a
   usable message.
+
+The engine's batched fanout APIs are gone: every broadcast leg of the
+flush handshake became virtual, so nothing scheduled through them, and
+their ordering tests went with them.
 """
 
 import argparse
@@ -24,11 +24,10 @@ import types
 import pytest
 
 from repro.core.flush import _ACKED
-from repro.harness.bench import (
+from repro.harness.check import (
     _multicore_setup,
     handshake_parity,
     parse_cores,
-    reference_mode,
 )
 from repro.sim.config import (
     BarrierDesign,
@@ -38,7 +37,7 @@ from repro.sim.config import (
     PersistencyModel,
 )
 from repro.sim.digest import run_digest
-from repro.sim.engine import Engine
+from repro.sim.engine import reference_mode
 from repro.system import Multicore
 from repro.workloads.base import Program
 
@@ -180,8 +179,8 @@ def test_all_to_all_timing_identical_to_arbiter():
 
 
 def test_handshake_counters_match_reference_at_16_cores():
-    """The explicit counter-parity check the bench runs at 64 cores,
-    here at a unit-test-sized 16."""
+    """The explicit counter-parity check ``repro check`` runs at 64
+    cores, here at a unit-test-sized 16."""
     config, programs = _multicore_setup(seed=3, transactions=8,
                                         num_cores=16)
     parity = handshake_parity(config, programs)
@@ -196,17 +195,14 @@ def test_scaling_table_renders_per_core_rows():
     meaningless)."""
     from repro.harness.report import scaling_table
 
-    def point(msgs, ops):
-        return {"handshake": {"mean_flush_msgs": msgs}, "ops_per_sec": ops}
+    def point(msgs):
+        return {"handshake": {"mean_flush_msgs": msgs}}
 
     record = {
         "cores": [4, 8],
-        "pingpong": {"LB++": {"4": point(19.6, 100.0),
-                              "8": point(31.7, 90.0)}},
-        "sharded_serving": {"LB++": {"4": point(20.2, 80.0),
-                                     "8": point(31.9, 70.0)}},
-        "all_to_all": {"LB++": {"4": point(27.6, 100.0),
-                                "8": point(79.7, 90.0)}},
+        "pingpong": {"LB++": {"4": point(19.6), "8": point(31.7)}},
+        "sharded_serving": {"LB++": {"4": point(20.2), "8": point(31.9)}},
+        "all_to_all": {"LB++": {"4": point(27.6), "8": point(79.7)}},
     }
     table = scaling_table(record)
     assert table.summary_row() is None
@@ -215,105 +211,6 @@ def test_scaling_table_renders_per_core_rows():
     assert data["4 cores"]["arbiter"] == 19.6
     text = table.render(precision=1)
     assert "4 cores" in text and "8 cores" in text
-
-
-# ----------------------------------------------------------------------
-# Engine fanout APIs: reference-identical orderings
-# ----------------------------------------------------------------------
-def _fanout_groups_trace(slow: bool):
-    with reference_mode(slow):
-        engine = Engine()
-    trace = []
-
-    def deliver(item):
-        trace.append(("deliver", engine.now, item))
-
-    def tick(label):
-        trace.append(("tick", engine.now, label))
-
-    # A broadcast spread over three latency rings, interleaved with
-    # ordinary events at the same cycles -- the ordering-sensitive
-    # shape: foreign events must never land between two items of one
-    # group, and group keys must sort exactly like their first item.
-    engine.schedule_call(1, tick, "before")
-    engine.schedule_fanout_groups(
-        [(1, ["a", "b"]), (3, ["c"]), (5, ["d", "e", "f"])], deliver
-    )
-    engine.schedule_call(1, tick, "after")
-    engine.schedule_call(3, tick, "mid")
-    engine.schedule_call(5, tick, "late")
-    engine.schedule_fanout(5, deliver, ["g", "h"])
-    engine.run()
-    return trace
-
-
-def test_fanout_groups_order_matches_reference_engine():
-    assert _fanout_groups_trace(False) == _fanout_groups_trace(True)
-
-
-def test_fanout_groups_rejects_descending_delays():
-    for slow in (False, True):
-        with reference_mode(slow):
-            engine = Engine()
-        with pytest.raises(ValueError, match="ascend"):
-            engine.schedule_fanout_groups(
-                [(5, ["a"]), (1, ["b"])], lambda item: None
-            )
-
-
-# ----------------------------------------------------------------------
-# --only plumbing: restricted runs must not wipe other families
-# ----------------------------------------------------------------------
-def test_only_scaling_carries_other_families_forward(tmp_path):
-    import json
-
-    from repro.harness.bench import run_bench
-
-    out = tmp_path / "BENCH_sweep.json"
-    old_single = {
-        "benchmark": "hotset",
-        "transactions": 5,
-        "ops_per_sec": {"fast": 123.0, "reference": 61.5},
-        "speedup": 2.0,
-        "digest_match": True,
-    }
-    out.write_text(json.dumps({
-        "machine": {"cpu_count": 1},
-        "single_run": old_single,
-        "trajectory": [],
-    }))
-    record = run_bench(seed=1, output=str(out), sweep=False, million=False,
-                       only="scaling", cores=(4,))
-    data = json.loads(out.read_text())
-    # The scaling family was generated...
-    assert data["scaling"]["parity"]["digest_match"]
-    assert data["scaling"]["parity"]["counters_match"]
-    assert record["scaling"]["cores"] == [4]
-    # ...and the pre-existing family survived, value for value.
-    assert data["single_run"] == old_single
-    # The old file's headline entered the trajectory.
-    assert any("single_run" in e for e in data["trajectory"])
-
-
-def test_retain_trajectory_keeps_old_families():
-    """A newly introduced family must not age established families out:
-    retention is per family, not a global tail slice."""
-    from repro.harness.bench import _retain_trajectory
-
-    old = [{"single_run": {"n": i}} for i in range(5)]
-    new = [{"single_run": {"n": 100 + i}, "scaling": {"n": i}}
-           for i in range(30)]
-    kept = _retain_trajectory(old + new, keep=20)
-    # The 5 old entries are still among the newest 20 that mention
-    # single_run?  No -- 30 newer ones mention it too, so they age out
-    # by the per-family rule; but entries are never dropped merely
-    # because a *new* family appeared.  Pin both directions:
-    assert [e for e in kept if "scaling" not in e] == old[:0]  # aged out
-    only_old_family = [{"million_run": {"n": i}} for i in range(3)]
-    kept = _retain_trajectory(only_old_family + new, keep=20)
-    # million_run entries are the newest (only) 3 of their family and
-    # survive even though 30 newer combined entries follow.
-    assert [e for e in kept if "million_run" in e] == only_old_family
 
 
 # ----------------------------------------------------------------------

@@ -20,9 +20,10 @@ three sides:
 
 import pytest
 
-from repro.harness.bench import ff_counters, reference_mode
+from repro.harness.check import ff_counters
 from repro.sim.config import BarrierDesign, MachineConfig, PersistencyModel
 from repro.sim.digest import run_digest, state_digest
+from repro.sim.engine import reference_mode
 from repro.sim.faults import FaultConfig
 from repro.system import Multicore
 from repro.workloads.micro import make_benchmark
