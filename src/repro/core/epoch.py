@@ -331,8 +331,9 @@ class EpochManager:
     def _complete(self, epoch: Epoch) -> None:
         epoch.status = EpochStatus.COMPLETE
         waiters, epoch.complete_waiters = epoch.complete_waiters, []
-        # Hold the clock across the fan-out: an inline completion inside
-        # one waiter must not warp ``now`` for the continuations that
+        # Hold the clock across the fan-out: a waiter that resumes a
+        # drain must not open a fast-forward session, which would warp
+        # ``now`` and fire queued events before the continuations that
         # follow it in this same event.
         engine = self._engine
         engine.advance_holds += 1
@@ -488,9 +489,9 @@ class EpochManager:
             dependents = ()
         waiters, epoch.persist_waiters = epoch.persist_waiters, []
         # Hold the clock across the fan-out (see EpochManager._complete):
-        # waking a parked core can complete its next request inline, and
-        # that inline completion must not advance ``now`` while further
-        # waiters/dependents of this persist still have to run.
+        # waking a parked core can resume its drain, and no fast-forward
+        # session may advance ``now`` while further waiters/dependents
+        # of this persist still have to run.
         engine = self._engine
         engine.advance_holds += 1
         try:

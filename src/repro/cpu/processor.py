@@ -36,7 +36,7 @@ import heapq
 from collections import deque
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, Optional, Tuple
 
-from repro.core.epoch import EpochStatus
+from repro.core.epoch import Epoch, EpochStatus
 from repro.sim.config import PersistencyModel
 from repro.workloads.base import Op, OpKind
 
@@ -69,11 +69,6 @@ _EPOCH_MODELS = (
     PersistencyModel.BSP,
     PersistencyModel.EP,
 )
-
-# Bound on nested inline compute continuations (each nesting level is a
-# handful of Python stack frames; the cap keeps compute streaks from
-# growing the stack unboundedly, like the machine's inline-depth cap).
-_MAX_COMPUTE_INLINE = 16
 
 
 class Core:
@@ -112,14 +107,17 @@ class Core:
         self._issue_cycles = machine.config.issue_width_cycles
         self._wb_capacity = machine.config.write_buffer_entries
         self._track_values = machine.track_values
-        self._compute_depth = 0
-        # Fast-forward drain sessions (_ff_try): fast mode only, and only
-        # for the epoch-tagged models whose drain chain dominates the
-        # event count.  _ff_active marks a session in progress so
-        # _issue_store virtualizes its issue-width continuation instead
-        # of scheduling it; _ff_issue_slot carries that (time, seq) pair
-        # back to the session loop.
-        self._ff_on = self._fast and self._uses_epochs
+        # Fast-forward drain sessions (_ff_try): fast mode only, only for
+        # the epoch-tagged models whose drain chain dominates the event
+        # count, and never with a fault injector configured (its
+        # splitmix64 draws are keyed by per-event attempt counts, which
+        # fast-forwarding could shift).  _ff_active marks a session in
+        # progress so _issue_store virtualizes its issue-width
+        # continuation instead of scheduling it; _ff_issue_slot carries
+        # that (time, seq) pair back to the session loop.
+        self._ff_on = (self._fast and self._uses_epochs
+                       and machine.faults is None)
+        self._epoch_tags = machine._epoch_tags
         self._ff_active = False
         self._ff_issue_slot: Optional[Tuple[int, int]] = None
         # Session accounting, exposed for tests and diagnostics.  Plain
@@ -192,31 +190,7 @@ class Core:
         elif kind is OpKind.STORE:
             self._issue_store(op)
         elif kind is OpKind.COMPUTE:
-            eng = self._engine
-            if self._fast:
-                # Same clock-claim check as the machine's fused request
-                # paths: when the end of the compute burst would be the
-                # very next event, advance the clock and continue
-                # synchronously instead of round-tripping the heap.
-                done = eng.now + op.cycles
-                queue = eng._queue
-                if (
-                    self._compute_depth < _MAX_COMPUTE_INLINE
-                    and eng._in_run
-                    and not eng._stopped
-                    and not eng.advance_holds
-                    and not eng._ready
-                    and (not queue or queue[0][0] > done)
-                    and (eng._until is None or done <= eng._until)
-                ):
-                    eng.now = done
-                    self._compute_depth += 1
-                    try:
-                        self._next()
-                    finally:
-                        self._compute_depth -= 1
-                    return
-            eng.schedule_call(op.cycles, self._next)
+            self._engine.schedule_call(op.cycles, self._next)
         elif kind is OpKind.TXN_MARK:
             if self._fast:
                 self._n_txns += 1
@@ -290,11 +264,6 @@ class Core:
             eng._seq = seq + 1
             self._ff_issue_slot = (eng.now + self._issue_cycles, seq)
             return
-        # NOTE: the issue-width advance must stay a scheduled event.  An
-        # inline try_advance here is unsound: _issue_store can run mid-
-        # chain (resumed from _pop_store), and the enclosing caller may
-        # still schedule same-cycle work after it returns, which the
-        # clock claim would reorder.
         self._engine.schedule_call(self._issue_cycles, self._next)
 
     def _issue_barrier(self) -> None:
@@ -364,8 +333,6 @@ class Core:
             return
 
         # Epoch-tagged store path (EP / BEP / BSP).
-        if self._ff_on and self._ff_try():
-            return
         # ``mgr.current``, inlined: one property plus one descriptor hop
         # per drained store is measurable on the contended path.
         mgr = self._mgr
@@ -382,6 +349,18 @@ class Core:
             # dynamic stores and checkpoints processor state (section 5.2).
             self._hardware_barrier()
             current = None
+        # Fast-forward admission: a session only ever applies same-epoch
+        # dirty hits, and the head store can be one only when the newest
+        # unpersisted version of its line belongs to the current epoch.
+        # One dict probe, so drains that never take the shape pay
+        # nothing else.
+        if (
+            self._ff_on
+            and current is not None
+            and self._epoch_tags.get(entry.line) is current
+            and self._ff_try(current)
+        ):
+            return
         if current is None and not mgr.can_open_epoch():
             # All 2^3 epoch IDs are in flight (section 4.3): no store may
             # begin a new epoch until the oldest persists.
@@ -418,27 +397,21 @@ class Core:
     # virtual events under their original sequence numbers and yields to
     # the event-per-op path.
 
-    def _ff_try(self) -> bool:
-        """Try to fast-forward the drain from the current buffer head.
+    def _ff_try(self, current: Epoch) -> bool:
+        """Try to fast-forward the drain from the current buffer head,
+        whose store ``_drain`` admitted into the ongoing ``current``.
 
         Returns True when the session consumed the drain step (the
         caller's _drain invocation is done); False to continue on the
         event-per-op path with nothing changed.
         """
-        if self._machine.faults is not None:
-            # Fault injection draws splitmix64 coordinates keyed by
-            # per-event attempt counts; fast-forwarding a faulty machine
-            # could shift a draw.  Conservative: never claim a window
-            # when an injector is configured.
-            self.ff_fallbacks += 1
-            return False
         eng = self._engine
         if not eng.ff_begin():
             self.ff_fallbacks += 1
             return False
         self._ff_active = True
         try:
-            outcome = self._ff_run()
+            outcome = self._ff_run(current)
         finally:
             eng.ff_end()
             self._ff_active = False
@@ -447,13 +420,14 @@ class Core:
             return False
         if outcome == 1:
             # The session stopped at work the event-per-op path owns (a
-            # barrier marker, a window stall, a potential conflict); run
-            # it now, at the cycle the session advanced to.
+            # barrier marker, a closing BSP epoch, any store that is not
+            # a same-epoch hit); run it now, at the cycle the session
+            # advanced to.
             self._drain()
         return True
 
-    def _ff_run(self) -> int:
-        """The session loop.
+    def _ff_run(self, cur: Epoch) -> int:
+        """The session loop, starting in the ongoing epoch ``cur``.
 
         Returns 0 when the first drain step refused (no observable side
         effects; the caller continues per-op), 1 when the session
@@ -469,7 +443,6 @@ class Core:
         is_bsp = self._model is PersistencyModel.BSP
         bsp_limit = self._config.bsp_epoch_stores if is_bsp else 0
         core_id = self.core_id
-        cur = mgr.current
         d_slot = None   # (time, seq, epoch): store completion in flight
         n_slot = None   # (time, seq): pending issue-width continuation
         stores = 0
@@ -498,21 +471,15 @@ class Core:
                     break
                 # The current-epoch lookup is cached across the burst; a
                 # barrier or split flips `ongoing`, so staleness is one
-                # attribute check away.
-                if cur is None or cur.status is not ongoing_s:
+                # attribute check away.  No session opens an epoch: a
+                # fresh one holds no line, so its first store can never
+                # be a same-epoch hit.
+                if cur.status is not ongoing_s:
                     cur = mgr.current
-                if (
-                    is_bsp
-                    and cur is not None
-                    and cur.num_stores + cur.pending_stores >= bsp_limit
-                ):
-                    break
-                if cur is None:
-                    if not mgr.can_open_epoch():
+                    if cur is None:
                         break
-                    # Same epoch the per-op tag_store would open, at the
-                    # same cycle with the same stats.
-                    cur = mgr.current_or_new()
+                if is_bsp and cur.num_stores + cur.pending_stores >= bsp_limit:
+                    break
                 lat = ff_store_try(core_id, head.line, head.values, cur)
                 if lat < 0:
                     break

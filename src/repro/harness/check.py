@@ -1,15 +1,17 @@
 """Fast-vs-reference parity checks: ``python -m repro check``.
 
-The simulator's fast paths -- the two-tier event queue, inline
-completions, the fused miss path, the pooled flush handshake, the
-virtual handshake legs and the fast-forward drain -- must be
+The simulator's fast paths -- the two-tier event queue, the fused
+request paths, the pooled flush handshake, the virtual handshake legs
+and the fast-forward drain -- must be
 *observationally identical* to the reference engine that
 ``REPRO_SLOW_ENGINE=1`` selects.  This module runs the comparisons
 that back the claim.  Each family is one entry of :data:`CHECKS`:
 
 * ``single``, ``flush`` and ``serving`` -- one-core runs, digests
   compared: ``hotset`` sits on the hit path, ``flushbound`` on the miss
-  and flush path, zipfian ``serving`` on the fast-forward engine;
+  and flush path, zipfian ``serving`` on the fused store paths, and the
+  long-epoch BSP stream (``serving/bsp_stream``) on the fast-forward
+  engine;
 * ``multicore`` -- contended 4-core ``pingpong`` (digest plus the
   conflict-path counters) and the {4, 8} cores x {LB, LB++} digest
   matrix;
@@ -70,8 +72,10 @@ Rows = Dict[str, dict]
 # the fused miss path and every epoch walks the pooled flush handshake.
 # ``pingpong`` pairs hammer a shared mailbox on 4 cores: directory
 # lookups, epoch-tag probes, IDT edges and epoch splits.  ``serving`` is
-# the zipfian key-value front-end whose bursty arrivals leave the idle
-# persist pipeline the fast-forward engine drains analytically.
+# the zipfian key-value front-end (fused store fills and upgrades).  The
+# BSP stream is 1-core ``pingpong`` under BSP + LB++, whose long
+# hardware epochs rewrite the same lines: the same-epoch dirty hits the
+# fast-forward engine drains analytically.
 _SINGLE_TRANSACTIONS = 300
 _FLUSH_TRANSACTIONS = 600
 _FLUSH_BENCHMARK = "flushbound"
@@ -80,6 +84,7 @@ _MULTI_BENCHMARK = "pingpong"
 _MULTI_CORES = 4
 _MULTI_CONFLICT_RATE = 1.0
 _SERVING_TRANSACTIONS = 5000
+_BSP_STREAM_TRANSACTIONS = 4000
 
 # Digest matrix: every persistency model, on the richer ``queue``
 # structure and the stock 2-core tiny config, so coherence, conflicts
@@ -141,10 +146,12 @@ def _parity(fn: Callable[[], object],
             ok: Optional[Callable[[object], bool]] = None) -> dict:
     """Run ``fn`` on the fast engine, then in reference mode.
 
-    The row matches when both results are equal and, if given,
-    ``ok(fast_result)`` holds.
+    The fast leg forces fast mode, so the comparison still means
+    something when ``REPRO_SLOW_ENGINE=1`` is set.  The row matches when
+    both results are equal and, if given, ``ok(fast_result)`` holds.
     """
-    fast = fn()
+    with reference_mode(False):
+        fast = fn()
     with reference_mode():
         ref = fn()
     return {"fast": fast, "reference": ref,
@@ -329,11 +336,9 @@ def check_multicore(opts: argparse.Namespace) -> Rows:
     return rows
 
 
-def check_serving(opts: argparse.Namespace) -> Rows:
-    config, programs = _setup(
-        opts.seed, _txns(opts, _SERVING_TRANSACTIONS), "serving",
-        num_cores=1,
-    )
+def _ff_parity(config: MachineConfig, programs: List[list]) -> dict:
+    """Digest parity of one run, noting the fast run's fast-forward
+    counters."""
     ff: List[Dict[str, int]] = []
 
     def run() -> str:
@@ -347,7 +352,23 @@ def check_serving(opts: argparse.Namespace) -> Rows:
     row["note"] = (f"fast-forward: {ff[0]['stores']} stores in "
                    f"{ff[0]['batches']} batches, "
                    f"{ff[0]['fallbacks']} fallbacks")
-    return {"serving": row}
+    return row
+
+
+def check_serving(opts: argparse.Namespace) -> Rows:
+    config, programs = _setup(
+        opts.seed, _txns(opts, _SERVING_TRANSACTIONS), "serving",
+        num_cores=1,
+    )
+    # The BSP stream keeps the config's long hardware epochs (_setup
+    # would shrink them), as perfbench's ``bsp_stream`` runs it.
+    bsp = MachineConfig.tiny(persistency=PersistencyModel.BSP,
+                             barrier_design=BarrierDesign.LB_PP,
+                             num_cores=1)
+    bsp_programs = _programs(bsp, "pingpong", opts.seed,
+                             _txns(opts, _BSP_STREAM_TRANSACTIONS))
+    return {"serving": _ff_parity(config, programs),
+            "bsp_stream": _ff_parity(bsp, bsp_programs)}
 
 
 def check_models(opts: argparse.Namespace) -> Rows:

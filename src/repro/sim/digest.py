@@ -1,7 +1,7 @@
 """Determinism digest: a stable fingerprint of one finished run.
 
-The engine's fast paths (same-cycle ready queue, inline completion) must
-be *observationally identical* to the pure-heap reference mode selected
+The simulator's fast paths (same-cycle ready queue, fused request paths,
+fast-forward drain) must be *observationally identical* to the pure-heap reference mode selected
 by ``REPRO_SLOW_ENGINE=1``: same cycle counts, same stats, same NVRAM
 image, same persist order.  :func:`state_digest` reduces a finished run
 to one SHA-256 hex string over a canonical JSON encoding of exactly that

@@ -40,9 +40,13 @@ Implementation notes -- the two-tier queue:
   dominate a large heap the queue is compacted in place.
 * ``REPRO_SLOW_ENGINE=1`` in the environment forces the pure-heap
   reference path (every event, including ``call_soon``, goes through
-  the heap) and disables :meth:`try_advance`.  The fast and reference
-  paths fire callbacks in bit-identical order; the determinism-digest
-  tests assert this across every persistency model.
+  the heap) and refuses fast-forward sessions (:meth:`ff_begin`).  The
+  fast and reference paths fire callbacks in bit-identical order; the
+  determinism-digest tests assert this across every persistency model.
+* Every completion goes through the queues.  The one component allowed
+  to advance the clock outside the dispatch loop is a fast-forward
+  session, which merges its own virtual events against the queue heads
+  in the loop's key order.
 """
 
 from __future__ import annotations
@@ -152,14 +156,15 @@ class Engine:
         self.now: int = 0
         self._stopped = False
         # True while run() is executing with no max_events bound; gates
-        # the try_advance inline fast path.
+        # fast-forward sessions, which need exact event accounting.
         self._in_run = False
         self._until: Optional[int] = None
-        # While positive, try_advance refuses to warp the clock.  Held
-        # by components that dispatch several independent continuations
+        # While positive, ff_begin refuses to open a session.  Held by
+        # components that dispatch several independent continuations
         # synchronously from one event (the epoch managers' waiter
-        # loops): an inline completion inside the first continuation
-        # must not advance ``now`` under the feet of the rest.
+        # loops): a session opened inside the first continuation would
+        # advance ``now`` and fire queued events under the feet of the
+        # rest.  An open session holds it too, so sessions never nest.
         self.advance_holds = 0
         # REPRO_SLOW_ENGINE=1 selects the pure-heap reference mode.
         self.fast = not _slow_engine_requested()
@@ -365,52 +370,16 @@ class Engine:
             self._until = None
         return executed
 
-    def try_advance(self, time: int) -> bool:
-        """Claim the clock for an inline completion at ``time``.
-
-        Returns True -- advancing ``now`` to ``time`` -- exactly when a
-        callback scheduled at ``time`` would be the very next event to
-        fire: nothing is pending at or before ``time``, no component
-        holds the clock (``advance_holds``), and the active ``run()``
-        would reach it (inside a bounded run the fast path is disabled
-        so event accounting stays exact).  The caller then invokes the
-        completion directly, skipping a heap round-trip; firing order
-        is identical to the scheduled path by construction.
-
-        The hold matters for soundness: a synchronous fan-out (an epoch
-        waking several parked waiters in one event) is invisible to the
-        queues, so without the hold the first waiter could warp ``now``
-        and the remaining waiters would observe the wrong cycle.
-        """
-        if (
-            not self._in_run
-            or self._stopped
-            or not self.fast
-            or self.advance_holds
-        ):
-            return False
-        if self._until is not None and time > self._until:
-            return False
-        self._discard_cancelled_head()
-        if self._ready:
-            return False
-        queue = self._queue
-        if queue and queue[0][0] <= time:
-            return False
-        self.now = time
-        return True
-
     # ------------------------------------------------------------------
     # Fast-forward sessions
     # ------------------------------------------------------------------
     # A fast-forward session lets one component (the core's write-buffer
     # drain) advance a stretch of its own future work analytically while
     # interleaved foreign events still fire in exact (time, priority,
-    # seq) order.  The session holds the clock (``advance_holds``), so
-    # every inline-completion shortcut elsewhere conservatively
-    # schedules -- the queues stay the single source of truth for
-    # foreign work -- and the session's own *virtual* events live
-    # outside the queues as (time, seq) keys that the caller merges
+    # seq) order.  The session holds the clock (``advance_holds``) so no
+    # second session opens inside it; the queues stay the single source
+    # of truth for foreign work, and the session's own *virtual* events
+    # live outside the queues as (time, seq) keys that the caller merges
     # against the queue heads in :meth:`run`'s key order.  Virtual
     # events draw their sequence numbers from ``_seq``, the counter real
     # scheduling uses, so a virtual event that has to be re-materialized

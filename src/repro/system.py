@@ -49,12 +49,6 @@ from repro.sim.trace import Tracer
 
 _MAX_REQUEST_RETRIES = 1000
 
-# Bound on nested inline completions: a streak of conflict-free L1 hits
-# re-enters the request machinery recursively (completion -> next op ->
-# hit -> completion ...); past this depth the completion falls back to
-# the scheduler so the Python stack stays shallow.
-_MAX_INLINE_DEPTH = 32
-
 
 class SimulationError(RuntimeError):
     """An internal invariant was violated (a simulator bug, not a model
@@ -255,7 +249,6 @@ class Multicore:
         self._fill_travel = _LazyRows(config.num_cores, lambda core: tuple(
             round_trip + lat for lat in self.mesh.c2b[core]
         ))
-        self._inline_depth = 0
         # Per-line epoch tags (fast mode): line -> the epoch holding the
         # *newest* unpersisted dirty version of the line, maintained on
         # store (_tag_line) and persist (_untag_line).  Membership alone
@@ -300,14 +293,13 @@ class Multicore:
     # ------------------------------------------------------------------
     # Public request API (called by cores)
     # ------------------------------------------------------------------
-    # The fused fast paths below collapse the conflict-free L1-hit case
-    # of load/store into the entry call: no _Request allocation, no
-    # dispatcher hops, the clock-claim check from Engine.try_advance
-    # inlined (conservatively: a cancelled ready-queue head refuses
-    # instead of reaping, which only falls back to the scheduled path).
-    # Every state transition and every count matches the general path
-    # bit for bit -- the determinism-digest tests compare against the
-    # reference mode, which always takes the general path.
+    # The fused fast paths below collapse the conflict-free cases of
+    # load/store (L1 hit, LLC hit, full miss, store upgrade) into the
+    # entry call: no _Request allocation, no dispatcher hops, and the
+    # completion scheduled directly.  Every state transition and every
+    # count matches the general path bit for bit -- the
+    # determinism-digest tests compare against the reference mode,
+    # which always takes the general path.
 
     def load(self, core_id: int, line: int,
              on_done: Callable[[int], None]) -> None:
@@ -327,25 +319,7 @@ class Multicore:
                 if lat > self._lat_maxes[core_id]:
                     self._lat_maxes[core_id] = lat
                 eng = self.engine
-                done = eng.now + lat
-                queue = eng._queue
-                if (
-                    self._inline_depth < _MAX_INLINE_DEPTH
-                    and eng._in_run
-                    and not eng._stopped
-                    and not eng.advance_holds
-                    and not eng._ready
-                    and (not queue or queue[0][0] > done)
-                    and (eng._until is None or done <= eng._until)
-                ):
-                    eng.now = done
-                    self._inline_depth += 1
-                    try:
-                        on_done(done)
-                    finally:
-                        self._inline_depth -= 1
-                    return
-                eng.schedule_call(lat, on_done, done)
+                eng.schedule_call(lat, on_done, eng.now + lat)
                 return
             # Fused L1-miss/LLC-hit path: a conflict-free fill from the
             # LLC completes without a request object, mirroring the hit
@@ -386,18 +360,7 @@ class Multicore:
                         if lat > self._lat_maxes[core_id]:
                             self._lat_maxes[core_id] = lat
                         eng = self.engine
-                        done = eng.now + lat
-                        if (
-                            self._inline_depth < _MAX_INLINE_DEPTH
-                            and eng.try_advance(done)
-                        ):
-                            self._inline_depth += 1
-                            try:
-                                on_done(done)
-                            finally:
-                                self._inline_depth -= 1
-                            return
-                        eng.schedule_call(lat, on_done, done)
+                        eng.schedule_call(lat, on_done, eng.now + lat)
                         return
                 if llc_entry is None and owner is None:
                     # Fused full-miss path: an unowned, uncached line
@@ -443,62 +406,33 @@ class Multicore:
                 entry = l1._last_entry
             else:
                 entry = l1.lookup(line)
-            if entry is not None and entry.dirty and entry.epoch is resolved:
-                # Same-epoch store to an owned M-state line: no logging
-                # (the line is already dirty under this epoch), no
-                # conflict checks, ownership already held.
-                self.directory.set_owner(line, core_id)
-                resolved.lines.add(line)
-                resolved.all_lines.add(line)
-                if self.track_values and values:
-                    if entry.values is None:
-                        entry.values = {}
-                    entry.values.update(values)
-                l1._tick = tick = l1._tick + 1
-                entry._lru = tick
-                lat = self._l1_lat
-                self._lat_sums[core_id] += lat
-                self._lat_counts[core_id] += 1
-                if lat > self._lat_maxes[core_id]:
-                    self._lat_maxes[core_id] = lat
-                eng = self.engine
-                done = eng.now + lat
-                queue = eng._queue
-                if (
-                    self._inline_depth < _MAX_INLINE_DEPTH
-                    and eng._in_run
-                    and not eng._stopped
-                    and not eng.advance_holds
-                    and not eng._ready
-                    and (not queue or queue[0][0] > done)
-                    and (eng._until is None or done <= eng._until)
-                ):
-                    eng.now = done
-                    self._inline_depth += 1
-                    try:
-                        on_done(done)
-                    finally:
-                        self._inline_depth -= 1
+            if entry is not None and entry.dirty:
+                # A dirty line is either a same-epoch hit (applied by
+                # ff_store_try) or a store over another epoch's version,
+                # which only the general classifier handles.
+                lat = self.ff_store_try(core_id, line, values, resolved)
+                if lat >= 0:
+                    eng = self.engine
+                    eng.schedule_call(lat, on_done, eng.now + lat)
                     return
-                eng.schedule_call(lat, on_done, done)
-                return
-            # Fused store miss/upgrade path: a conflict-free store to a
-            # line this core does not hold in M completes without a
-            # request object.  Two shapes share the tail: an S-state L1
-            # hit upgraded in place, and an L1 miss filled from a
-            # conflict-free LLC copy.  Undo logging, any unpersisted LLC
-            # version, foreign owners/sharers, or a dirty L1 victim fall
-            # through to the general classifier.
-            if not self._logging_on and (entry is None or not entry.dirty):
+            elif not self._logging_on:
+                # Fused store miss/upgrade path: a conflict-free store to
+                # a line this core does not hold in M completes without a
+                # request object.  Two shapes share the tail: an S-state
+                # L1 hit upgraded in place, and an L1 miss filled from a
+                # conflict-free LLC copy.  Undo logging, any unpersisted
+                # LLC version, foreign owners/sharers, or a dirty L1
+                # victim fall through to the general classifier.
+                #
                 # The epoch-tag probe subsumes the seed's LLC-version
                 # check: a line absent from the tag map has no
                 # unpersisted dirty version anywhere (an unpersisted
                 # dirty copy in a foreign L1 would also fail
-                # exclusive_ok, and one in this core's own L1 was
-                # excluded by the dirty-hit branch above), so the store
-                # cannot conflict.  A tagged line falls through to the
-                # general classifier, which re-derives the source epoch
-                # from the cache entries.
+                # exclusive_ok, and one in this core's own L1 took the
+                # dirty branch above), so the store cannot conflict.  A
+                # tagged line falls through to the general classifier,
+                # which re-derives the source epoch from the cache
+                # entries.
                 if (
                     line not in self._epoch_tags
                     and self.directory.exclusive_ok(line, core_id)
@@ -567,18 +501,7 @@ class Multicore:
                         if lat > self._lat_maxes[core_id]:
                             self._lat_maxes[core_id] = lat
                         eng = self.engine
-                        done = eng.now + lat
-                        if (
-                            self._inline_depth < _MAX_INLINE_DEPTH
-                            and eng.try_advance(done)
-                        ):
-                            self._inline_depth += 1
-                            try:
-                                on_done(done)
-                            finally:
-                                self._inline_depth -= 1
-                            return
-                        eng.schedule_call(lat, on_done, done)
+                        eng.schedule_call(lat, on_done, eng.now + lat)
                         return
         req = _Request(core_id, line, True, values, epoch, on_done)
         req.persist_sync = persist_sync
@@ -590,102 +513,35 @@ class Multicore:
     def ff_store_try(self, core_id: int, line: int,
                      values: Optional[Dict[int, object]],
                      resolved: Epoch) -> int:
-        """Fast-forward drain step: apply one epoch-tagged store if it
-        is conflict-free, returning its latency, or -1 with no
-        observable side effect.
+        """Apply one epoch-tagged store if it is a same-epoch dirty hit,
+        returning its latency, or -1 with no observable side effect.
 
-        Mirrors the two fused shapes of :meth:`store` -- the same-epoch
-        dirty hit and the clean miss/upgrade -- state change for state
-        change and count for count, but never schedules the completion:
-        the caller (the core's fast-forward session) accounts it as a
-        virtual event.  The epoch-tag probe doubles as the session's
-        flush-in-window guard: a line whose previous version belongs to
-        any unpersisted epoch (closed, flushing, or foreign) is still in
-        the tag map, so the store returns -1 and the event-per-op drain
-        re-derives the conflict through the general classifier.
-        ``resolved`` must be the core's ongoing epoch, already resolved.
+        The shape: the line is M-state in this core's L1, dirty under
+        ``resolved`` (the core's ongoing epoch, already resolved).  No
+        undo logging (the line is already dirty under this epoch), no
+        conflict check, ownership already held.  The completion is not
+        scheduled: :meth:`store`'s fused path schedules it, and the
+        core's fast-forward session accounts it as a virtual event.
+        Every other store returns -1, and the general classifier (or
+        the other fused paths) handles it.
         """
         l1 = self.l1s[core_id]
         if line == l1._last_line:
             entry = l1._last_entry
         else:
             entry = l1.lookup(line)
-        if entry is not None and entry.dirty and entry.epoch is resolved:
-            self.directory.set_owner(line, core_id)
-            resolved.lines.add(line)
-            resolved.all_lines.add(line)
-            if self.track_values and values:
-                if entry.values is None:
-                    entry.values = {}
-                entry.values.update(values)
-            l1._tick = tick = l1._tick + 1
-            entry._lru = tick
-            lat = self._l1_lat
-        elif (
-            not self._logging_on
-            and entry is not None
-            and entry.dirty
-            and (entry.epoch is None or entry.epoch.persisted)
-            and line not in self._epoch_tags
-        ):
-            # Re-dirtying a line whose previous version already
-            # persisted: the general classifier's dirty-hit fast path
-            # (``_try_store`` -> ``_finish_store``) with no conflict
-            # possible -- the old version left the dirty domain, the
-            # line is still M-state in this L1, and the tag is a plain
-            # insert.  This is the first store of every transaction in
-            # re-touch workloads (pingpong mailboxes, zipfian hot keys).
-            self.directory.set_owner(line, core_id)
-            entry.dirty = True
-            entry.epoch = resolved
-            resolved.lines.add(line)
-            self._epoch_tags[line] = resolved
-            resolved.all_lines.add(line)
-            if self.track_values and values:
-                if entry.values is None:
-                    entry.values = {}
-                entry.values.update(values)
-            l1._tick = tick = l1._tick + 1
-            entry._lru = tick
-            lat = self._l1_lat
-        elif (
-            not self._logging_on
-            and (entry is None or not entry.dirty)
-            and line not in self._epoch_tags
-            and self.directory.exclusive_ok(line, core_id)
-        ):
-            bank = (line >> self._bank_shift) % self._n_banks
-            if entry is not None:
-                self.directory.set_owner(line, core_id)
-            else:
-                llc_entry = self.llc_banks[bank].lookup(line)
-                if llc_entry is None:
-                    return -1
-                filled = l1.clean_fill(line)
-                if filled is None:
-                    return -1
-                entry, victim_line = filled
-                if self.track_values:
-                    if llc_entry.values is not None:
-                        entry.values = dict(llc_entry.values)
-                    else:
-                        stored = self.image.values.get(line)
-                        entry.values = dict(stored) if stored else {}
-                self.directory.refill_owner(line, victim_line, core_id)
-            entry.dirty = True
-            entry.epoch = resolved
-            resolved.lines.add(line)
-            self._epoch_tags[line] = resolved
-            resolved.all_lines.add(line)
-            if self.track_values and values:
-                if entry.values is None:
-                    entry.values = {}
-                entry.values.update(values)
-            l1._tick = tick = l1._tick + 1
-            entry._lru = tick
-            lat = self._base_lat[core_id][bank]
-        else:
+        if entry is None or not entry.dirty or entry.epoch is not resolved:
             return -1
+        self.directory.set_owner(line, core_id)
+        resolved.lines.add(line)
+        resolved.all_lines.add(line)
+        if self.track_values and values:
+            if entry.values is None:
+                entry.values = {}
+            entry.values.update(values)
+        l1._tick = tick = l1._tick + 1
+        entry._lru = tick
+        lat = self._l1_lat
         self._lat_sums[core_id] += lat
         self._lat_counts[core_id] += 1
         if lat > self._lat_maxes[core_id]:
@@ -791,16 +647,6 @@ class Multicore:
         self._lat_counts[core_id] += 1
         if sample > self._lat_maxes[core_id]:
             self._lat_maxes[core_id] = sample
-        if (
-            self._inline_depth < _MAX_INLINE_DEPTH
-            and eng.try_advance(done)
-        ):
-            self._inline_depth += 1
-            try:
-                on_done(done)
-            finally:
-                self._inline_depth -= 1
-            return
         eng.schedule_call(delivery, on_done, done)
 
     # ------------------------------------------------------------------
@@ -838,22 +684,6 @@ class Multicore:
         self._lat_counts[core_id] += 1
         if sample > self._lat_maxes[core_id]:
             self._lat_maxes[core_id] = sample
-        # Synchronous fast path: when this completion would be the very
-        # next event anyway (nothing else pending at or before ``done``),
-        # skip the scheduler round-trip and invoke it inline.  The
-        # engine's try_advance enforces exactness -- the firing order is
-        # identical to the scheduled path -- and the depth guard keeps
-        # hit streaks from growing the Python stack unboundedly.
-        if (
-            self._inline_depth < _MAX_INLINE_DEPTH
-            and self.engine.try_advance(done)
-        ):
-            self._inline_depth += 1
-            try:
-                req.on_done(done)
-            finally:
-                self._inline_depth -= 1
-            return
         self.engine.schedule_call(latency, req.on_done, done)
 
     # -- loads -----------------------------------------------------------

@@ -1,6 +1,6 @@
 """Fast engine paths vs the pure-heap reference engine.
 
-The two-tier ready queue and the inline-completion fast path claim to be
+The two-tier ready queue and the fused request paths claim to be
 *observationally identical* to the reference engine selected by
 ``REPRO_SLOW_ENGINE=1``.  These tests run one small workload per
 persistency model both ways and assert:

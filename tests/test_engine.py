@@ -252,12 +252,6 @@ def test_negative_priority_timed_event_precedes_ready_work():
     assert fired == ["urgent", "soon"]
 
 
-def test_try_advance_refused_outside_run():
-    engine = Engine()
-    assert not engine.try_advance(10)
-    assert engine.now == 0
-
-
 def _fast_engine() -> Engine:
     """An engine pinned to fast mode, regardless of REPRO_SLOW_ENGINE.
 
@@ -269,70 +263,30 @@ def _fast_engine() -> Engine:
     return engine
 
 
-def test_try_advance_claims_clock_when_next():
+def test_ff_begin_refused_while_clock_held_or_outside_run():
     engine = _fast_engine()
-    seen = {}
-
-    def handler():
-        # Nothing else queued: the completion at now+7 is the next event.
-        seen["claimed"] = engine.try_advance(engine.now + 7)
-        seen["now"] = engine.now
-
-    engine.schedule(3, handler)
-    engine.run()
-    assert seen == {"claimed": True, "now": 10}
-    assert engine.now == 10
-
-
-def test_try_advance_refused_when_work_pending():
-    engine = _fast_engine()
-    seen = {}
-
-    def handler():
-        engine.call_soon(lambda: None)
-        seen["with-ready"] = engine.try_advance(engine.now + 7)
-
-    def later():
-        # A timed event at t=5 precedes a completion at t=10.
-        seen["with-earlier-heap"] = engine.try_advance(engine.now + 9)
-
-    engine.schedule(1, handler)
-    engine.schedule(1, later)
-    engine.schedule(5, lambda: None)
-    engine.run()
-    assert seen == {"with-ready": False, "with-earlier-heap": False}
-
-
-def test_try_advance_respects_until_bound():
-    engine = _fast_engine()
-    seen = {}
-
-    def handler():
-        seen["past-bound"] = engine.try_advance(100)
-        seen["at-bound"] = engine.try_advance(50)
-
-    engine.schedule(2, handler)
-    engine.run(until=50)
-    assert seen == {"past-bound": False, "at-bound": True}
-
-
-def test_try_advance_refused_while_clock_held():
-    engine = _fast_engine()
+    # Outside run() there is no dispatch loop to merge virtual events
+    # against, so no session may open.
+    assert not engine.ff_begin()
     seen = {}
 
     def handler():
         engine.advance_holds += 1
         try:
-            seen["held"] = engine.try_advance(engine.now + 7)
+            seen["held"] = engine.ff_begin()
         finally:
             engine.advance_holds -= 1
-        seen["released"] = engine.try_advance(engine.now + 7)
+        seen["released"] = engine.ff_begin()
+        if seen["released"]:
+            # An open session holds the clock itself: sessions never nest.
+            seen["nested"] = engine.ff_begin()
+            engine.ff_end()
 
     engine.schedule(3, handler)
     engine.run()
-    # While held the clock must not move; after release the claim works.
-    assert seen == {"held": False, "released": True}
-    assert engine.now == 10
+    assert seen == {"held": False, "released": True, "nested": False}
+    assert engine.advance_holds == 0
+    assert engine.now == 3
 
 
 def test_schedule_call_matches_schedule_ordering():
@@ -366,8 +320,7 @@ def test_slow_mode_routes_everything_through_heap(monkeypatch):
     engine.schedule(0, fired.append, "b")
     assert not engine._ready  # everything heads to the heap
     seen = {}
-    engine.schedule(1, lambda: seen.setdefault(
-        "advance", engine.try_advance(5)))
+    engine.schedule(1, lambda: seen.setdefault("session", engine.ff_begin()))
     engine.run()
     assert fired == ["a", "b"]
-    assert seen == {"advance": False}
+    assert seen == {"session": False}

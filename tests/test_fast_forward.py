@@ -4,15 +4,19 @@ The fast-forward session (cpu/processor.py) claims to be
 *observationally invisible*: any stretch of the write-buffer drain it
 advances analytically must leave stats, cycle counts, the NVRAM image,
 and the persist order byte-identical to the event-per-op reference
-engine (``REPRO_SLOW_ENGINE=1``).  These tests attack that claim from
-three sides:
+engine (``REPRO_SLOW_ENGINE=1``).  A session applies only same-epoch
+dirty hits, and ``_drain`` admits one only when the buffer-head line's
+epoch tag is the core's current epoch.  These tests attack that claim
+from three sides:
 
 * randomized interleavings -- serving and pingpong program prefixes
-  across seeds and core counts, fast vs reference digests;
-* the guard predicates, one by one -- a conflict in the window, a line
-  still tagged by an unpersisted (flushing) epoch, and a configured
-  fault injector must each force the session to refuse or fall back,
-  without perturbing the outcome;
+  across seeds and core counts, fast vs reference digests, where the
+  admission must refuse for free; long-epoch BSP streams and EP
+  barriers, where sessions run;
+* the guard predicates, one by one -- a line tagged by another core's
+  epoch, an admitted line that has left the L1, and a configured fault
+  injector must each keep the session from running, without perturbing
+  the outcome;
 * the counters -- fast-forward diagnostics are plain attributes, never
   digest inputs, so a fast run and a reference run of the same program
   still digest identically even though only one of them fast-forwards.
@@ -77,7 +81,10 @@ def test_serving_prefix_digest_parity(seed):
     programs = _programs("serving", config, seed, 120)
     machine, fast, ref = _fast_and_reference(config, programs)
     assert fast == ref
-    assert ff_counters(machine)["stores"] > 0
+    # Serving's stores are fills and upgrades, never a same-epoch hit at
+    # the buffer head: the tag admission refuses before any session.
+    counters = ff_counters(machine)
+    assert counters["batches"] == 0 and counters["fallbacks"] == 0
 
 
 @pytest.mark.parametrize("seed", [3, 17])
@@ -86,9 +93,9 @@ def test_serving_prefix_digest_parity(seed):
     (2, BarrierDesign.LB_IDT),
 ])
 def test_pingpong_prefix_digest_parity(seed, cores, design):
-    # The contended extreme: both cores of a pair hammer shared mailbox
-    # lines, so sessions constantly abort mid-burst on foreign tags and
-    # re-enter -- the interleaving stress case for re-materialization.
+    # Both cores of a pair hammer shared mailbox lines under short BEP
+    # epochs: the head store is an upgrade, never a same-epoch hit, so
+    # the tag admission refuses every drain before a session opens.
     config = MachineConfig.tiny(
         persistency=PersistencyModel.BEP,
         barrier_design=design,
@@ -98,8 +105,7 @@ def test_pingpong_prefix_digest_parity(seed, cores, design):
     machine, fast, ref = _fast_and_reference(config, programs)
     assert fast == ref
     counters = ff_counters(machine)
-    assert counters["stores"] > 0
-    assert counters["fallbacks"] > 0
+    assert counters["batches"] == 0 and counters["fallbacks"] == 0
 
 
 @pytest.mark.parametrize("model", [
@@ -108,8 +114,8 @@ def test_pingpong_prefix_digest_parity(seed, cores, design):
 ])
 def test_stalling_models_digest_parity(model):
     # EP stalls at every barrier and BSP closes epochs by store count:
-    # both interleave drain bursts with flush traffic, exercising the
-    # session's stop/until and flush-in-window exits.
+    # both interleave drain bursts with flush traffic, and under BSP
+    # sessions run between the flushes.
     config = MachineConfig.tiny(
         persistency=model,
         barrier_design=BarrierDesign.LB_PP,
@@ -126,22 +132,22 @@ def test_stalling_models_digest_parity(model):
 def test_faults_configured_refuses_every_session():
     # Fault decisions are keyed by splitmix64 coordinates that include
     # per-event attempt counts; fast-forwarding could shift a draw, so a
-    # configured injector (even an all-zero one) disables the engine.
+    # configured injector (even an all-zero one) disables the engine at
+    # construction: no session, and no admission probe to fall back.
+    # The program is one where sessions run without an injector.
     config = MachineConfig.tiny(
-        persistency=PersistencyModel.BEP,
+        persistency=PersistencyModel.BSP,
         barrier_design=BarrierDesign.LB_PP,
-        num_cores=1,
+        num_cores=2,
     )
-    programs = _programs("serving", config, 7, 60)
+    programs = _programs("pingpong", config, 3, 80, conflict_rate=1.0)
     faults = FaultConfig(seed=9)
     with reference_mode(False):
         machine = Multicore(config, track_values=True,
                             track_persist_order=True, faults=faults)
         result = machine.run([list(p) for p in programs])
-    counters = ff_counters(machine)
-    assert counters["stores"] == 0
-    assert counters["batches"] == 0
-    assert counters["fallbacks"] > 0
+    assert ff_counters(machine) == {"batches": 0, "stores": 0,
+                                    "fallbacks": 0}
     # The refusal is also invisible: same digest as the reference
     # engine under the same (all-zero) fault plan.
     with reference_mode():
@@ -155,11 +161,11 @@ def test_faults_configured_refuses_every_session():
 
 
 def test_foreign_tag_refuses_the_store():
-    # The epoch-tag probe is the conflict *and* flush-in-window guard: a
-    # line whose previous version belongs to any unpersisted epoch is
-    # still in the tag map, so ff_store_try must return -1 and leave no
-    # trace.  Stage it directly: core 1 dirties a line under its epoch,
-    # then core 0's session asks for the same line.
+    # A line dirty under another core's epoch is tagged with that epoch,
+    # so _drain's admission refuses it; ff_store_try, asked anyway, must
+    # see no same-epoch dirty hit, return -1 and leave no trace.  Stage
+    # it directly: core 1 dirties a line under its epoch, then core 0
+    # asks for the same line.
     config = MachineConfig.tiny(
         persistency=PersistencyModel.BEP,
         barrier_design=BarrierDesign.LB_PP,
@@ -177,44 +183,101 @@ def test_foreign_tag_refuses_the_store():
     )
     machine.engine.run()
     assert done, "staging store never completed"
-    assert line in machine._epoch_tags
     epoch0 = machine.managers[0].current_or_new()
+    assert machine._epoch_tags[line] is not epoch0
     tags_before = dict(machine._epoch_tags)
     assert machine.ff_store_try(0, line, None, epoch0) == -1
     assert machine._epoch_tags == tags_before
     assert not epoch0.lines
 
 
-def test_contended_run_falls_back_and_recovers():
-    # End-to-end version of the conflict guard: full-rate pingpong
-    # forces mid-session fallbacks, after which sessions must re-enter
-    # and keep absorbing the uncontended payload stores.
+def test_evicted_tagged_line_refuses_the_store():
+    # The admission is necessary, not sufficient: a line written back
+    # out of the L1 keeps its epoch tag until it persists, so the tag
+    # still names the current epoch while the probe finds no L1 entry.
+    # Stage it: core 0 dirties a line, the line is written back to the
+    # LLC, then core 0 asks for it again.
     config = MachineConfig.tiny(
         persistency=PersistencyModel.BEP,
         barrier_design=BarrierDesign.LB_PP,
-        num_cores=2,
+        num_cores=1,
     )
-    programs = _programs("pingpong", config, 13, 60, conflict_rate=1.0)
+    with reference_mode(False):
+        machine = Multicore(config)
+    line = 0x0C00_0000
+    epoch0 = machine.managers[0].current_or_new()
+    done = []
+    machine.engine.schedule_call(
+        0, lambda: machine.store(0, line, None, epoch0, on_done=done.append)
+    )
+    machine.engine.run()
+    assert done, "staging store never completed"
+    entry = machine.l1s[0].lookup(line)
+    assert machine._writeback_to_llc(0, entry, None, invalidate=True)
+    assert machine.l1s[0].lookup(line) is None
+    assert machine._epoch_tags[line] is epoch0  # admission would pass
+    tags_before = dict(machine._epoch_tags)
+    lines_before = set(epoch0.lines)
+    assert machine.ff_store_try(0, line, None, epoch0) == -1
+    assert machine._epoch_tags == tags_before
+    assert epoch0.lines == lines_before
+    assert machine.l1s[0].lookup(line) is None
+
+
+def test_evicted_tagged_lines_fall_back_end_to_end():
+    # flushbound's footprint is four times the L1, so under long BSP
+    # epochs the head store's line is often still tagged with the
+    # current epoch but already evicted: every such drain is admitted,
+    # refused by the probe and handed back with no trace.
+    config = MachineConfig.tiny(
+        persistency=PersistencyModel.BSP,
+        barrier_design=BarrierDesign.LB_PP,
+        num_cores=1,
+    )
+    programs = _programs("flushbound", config, 5, 60)
     machine, fast, ref = _fast_and_reference(config, programs)
     assert fast == ref
     counters = ff_counters(machine)
     assert counters["fallbacks"] > 0
-    assert counters["stores"] > 0
+    assert counters["batches"] == 0 and counters["stores"] == 0
+
+
+def test_contended_run_falls_back_and_recovers():
+    # End-to-end: two cores ping-pong every mailbox line under long BSP
+    # epochs.  Each session ends at the first store that is not a
+    # same-epoch hit (a contended mailbox line, a barrier), re-
+    # materializes its outstanding issue event and hands the drain back;
+    # later drains must re-enter and keep absorbing the payload stores.
+    config = MachineConfig.tiny(
+        persistency=PersistencyModel.BSP,
+        barrier_design=BarrierDesign.LB_PP,
+        num_cores=2,
+    )
+    programs = _programs("pingpong", config, 3, 80, conflict_rate=1.0)
+    machine, fast, ref = _fast_and_reference(config, programs)
+    assert fast == ref
+    counters = ff_counters(machine)
+    assert counters["batches"] > 1
+    assert counters["stores"] > counters["batches"]
 
 
 def test_ep_flush_stalls_fall_back():
     # Under EP every barrier waits for the closed epoch to persist, so
-    # drains regularly start while flush handshakes are in flight; the
-    # session must yield those windows to the event-per-op path.
+    # drains regularly start while flush handshakes are in flight.
+    # hotset rewrites its few lines inside each epoch, so sessions do
+    # run between the stalls; the drains they cannot take (a clock held
+    # by an epoch fan-out, a line that left the L1) fall back.
     config = MachineConfig.tiny(
         persistency=PersistencyModel.EP,
         barrier_design=BarrierDesign.LB_PP,
         num_cores=2,
     )
-    programs = _programs("queue", config, 5, 60)
+    programs = _programs("hotset", config, 5, 60)
     machine, fast, ref = _fast_and_reference(config, programs)
     assert fast == ref
-    assert ff_counters(machine)["fallbacks"] > 0
+    counters = ff_counters(machine)
+    assert counters["batches"] > 0
+    assert counters["fallbacks"] > 0
 
 
 # ----------------------------------------------------------------------
@@ -225,11 +288,11 @@ def test_ff_counters_never_reach_the_digest():
     # into the digest the two modes could not match -- this pins the
     # invariant the parity tests above rely on.
     config = MachineConfig.tiny(
-        persistency=PersistencyModel.BEP,
+        persistency=PersistencyModel.BSP,
         barrier_design=BarrierDesign.LB_PP,
         num_cores=1,
     )
-    programs = _programs("serving", config, 19, 80)
+    programs = _programs("pingpong", config, 19, 80)
     machine, fast, ref = _fast_and_reference(config, programs)
     assert ff_counters(machine)["stores"] > 0  # fast run did fast-forward
     assert fast == ref                          # ...and it cannot be seen
