@@ -113,8 +113,10 @@ class Core:
         # splitmix64 draws are keyed by per-event attempt counts, which
         # fast-forwarding could shift).  _ff_active marks a session in
         # progress so _issue_store virtualizes its issue-width
-        # continuation instead of scheduling it; _ff_issue_slot carries
-        # that (time, seq) pair back to the session loop.
+        # continuation instead of scheduling it (for the stores the
+        # session loop hands it, and for a _next that a dispatched
+        # foreign event runs); _ff_issue_slot carries that (time, seq)
+        # pair back to the session loop.
         self._ff_on = (self._fast and self._uses_epochs
                        and machine.faults is None)
         self._epoch_tags = machine._epoch_tags
@@ -240,9 +242,12 @@ class Core:
         values: Optional[Dict[int, object]] = None
         if self._track_values:
             values = {op.addr - line: op.value}
-        # _push, inlined: this is the hottest call site (twice per store
-        # on a streaming burst, once at issue and once resumed after the
-        # stall), and the barrier/strand paths keep using the helper.
+        # _push, inlined: this is the hottest call site of the
+        # event-per-op path (a store that meets a full buffer comes here
+        # twice, once at issue and once resumed after the stall), and the
+        # barrier/strand paths keep using the helper.  Fast-forward
+        # sessions stall, park and re-issue streamed stores in their own
+        # loop.
         self.wb.append(WriteBufferEntry(line, values))
         if not self._draining:
             self._draining = True
@@ -454,9 +459,21 @@ class Core:
         until = eng._until
         ff_store_try = machine.ff_store_try
         wb_popleft = wb.popleft
+        wb_append = wb.append
         wb_lines = self._wb_lines
+        wb_capacity = self._wb_capacity
+        line_mask = self._line_mask
+        issue_cycles = self._issue_cycles
+        track_values = self._track_values
+        ops = self._it
+        next_op = next
         ongoing_s = EpochStatus.ONGOING
         closed_s = EpochStatus.CLOSED
+        store_k = OpKind.STORE
+        load_k = OpKind.LOAD
+        txn_k = OpKind.TXN_MARK
+        barrier_k = OpKind.BARRIER
+        compute_k = OpKind.COMPUTE
 
         while True:
             if d_slot is None:
@@ -549,11 +566,56 @@ class Core:
             # clock advance run() performs.
             eng.now = v_time
             if v_is_issue:
+                # The issue-width continuation: _next, inlined.  A store
+                # that meets a full buffer -- the steady state of a long
+                # burst, where drain is slower than issue -- is counted
+                # and parked here without entering _issue_store.  Txn
+                # marks, the barriers BSP ignores, compute and a load
+                # forwarded out of the buffer set the next virtual issue
+                # event under the seq their call_soon/schedule_call
+                # would have drawn; the other ops take the per-op
+                # helpers.
                 n_slot = None
-                self._next()
-                if self._ff_issue_slot is not None:
+                op = next_op(ops, None)
+                if op is None:
+                    self._stream_done = True
+                    self._check_done()
+                    continue
+                kind = op.kind
+                if kind is store_k:
+                    if self._wb_stores + self._wt_outstanding >= wb_capacity:
+                        self._n_wb_full += 1
+                        self._pending_push = op
+                        continue
+                    self._issue_store(op)
                     n_slot = self._ff_issue_slot
                     self._ff_issue_slot = None
+                    continue
+                if kind is txn_k:
+                    self._n_txns += 1
+                    delay = 0
+                elif kind is barrier_k and is_bsp:
+                    self._n_barriers += 1
+                    delay = 0
+                elif kind is compute_k:
+                    delay = op.cycles
+                elif kind is load_k:
+                    self._n_loads += 1
+                    line = op.addr & line_mask
+                    if not wb_lines.get(line):
+                        machine.load(core_id, line, on_done=self._next)
+                        continue
+                    self._n_wb_forwards += 1
+                    delay = 1
+                elif kind is barrier_k:
+                    self._issue_barrier()
+                    continue
+                else:
+                    self._issue_strand(op)
+                    continue
+                seq = eng._seq
+                eng._seq = seq + 1
+                n_slot = (v_time + delay, seq)
                 continue
             # Store completion: mirror _drained_epoch + _pop_store,
             # with EpochManager.store_drained inlined (resolve split
@@ -581,16 +643,25 @@ class Core:
             else:
                 del wb_lines[entry.line]
             op = self._pending_push
-            if op is not None:
-                # _resume_pending_push, inlined: the pop above freed a
-                # buffer slot, so only outstanding write-throughs can
-                # still hold the op back.
-                if self._wb_stores + self._wt_outstanding < self._wb_capacity:
-                    self._pending_push = None
-                    self._issue_store(op)
-                    if self._ff_issue_slot is not None:
-                        n_slot = self._ff_issue_slot
-                        self._ff_issue_slot = None
+            if (op is not None
+                    and self._wb_stores + self._wt_outstanding < wb_capacity):
+                # _resume_pending_push and _issue_store's accepted
+                # branch, inlined: the pop above freed the slot the
+                # parked store waits for.  The buffer is not empty after
+                # the append, so _draining is already set; a parked core
+                # has no issue continuation, so n_slot is free.
+                self._pending_push = None
+                line = op.addr & line_mask
+                wb_append(WriteBufferEntry(
+                    line,
+                    {op.addr - line: op.value} if track_values else None,
+                ))
+                self._wb_stores += 1
+                wb_lines[line] = wb_lines.get(line, 0) + 1
+                self._n_stores += 1
+                seq = eng._seq
+                eng._seq = seq + 1
+                n_slot = (eng.now + issue_cycles, seq)
 
         if not stores:
             # Drain-step refusal before any work: a clean refuse (no

@@ -10,6 +10,7 @@ stripped of its undo-log entries -- must each make the sweep raise.
 
 import pytest
 
+from repro.harness.check import ff_counters
 from repro.mem.nvram import NVRAMImage
 from repro.recovery import (
     ConsistencyViolation,
@@ -20,6 +21,7 @@ from repro.recovery import (
 )
 from repro.recovery.crash import CrashOutcome
 from repro.sim.config import BarrierDesign, MachineConfig, PersistencyModel
+from repro.sim.engine import reference_mode
 from repro.system import Multicore
 from repro.workloads.micro import QueueWorkload, make_benchmark
 
@@ -108,6 +110,31 @@ def test_sweep_bsp_undo_coverage_all_points():
     assert any(r.kind == "log" for r in outcome.image.history)
     oracle = sweep_reference(outcome, bsp=True, stride=1)
     assert report.merge_key() == oracle.merge_key()
+
+
+def test_sweep_accepts_fast_forwarded_bsp_stream():
+    """A long-epoch BSP stream persists stores a fast-forward session
+    drained: every crash point of the fast capture is consistent, and
+    its persist history is the reference engine's, record for record."""
+    config = MachineConfig.tiny(
+        persistency=PersistencyModel.BSP,
+        barrier_design=BarrierDesign.LB_PP, num_cores=1,
+    )
+    program = list(make_benchmark("pingpong", thread_id=0, seed=1,
+                                  line_size=config.line_size).ops(1200))
+
+    def capture(slow):
+        with reference_mode(slow):
+            machine = tracking_machine(config)
+            return machine, capture_run(machine, [list(program)])
+
+    machine, outcome = capture(False)
+    assert ff_counters(machine)["stores"] > 0
+    report = sweep_crash_points(outcome, bsp=True)
+    assert report.ok and report.bsp_checked
+    assert report.points == report.history_len + 1
+    _, ref = capture(True)
+    assert outcome.image.history == ref.image.history
 
 
 def test_sweep_requires_replay_payloads():

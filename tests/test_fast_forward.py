@@ -12,7 +12,8 @@ from three sides:
 * randomized interleavings -- serving and pingpong program prefixes
   across seeds and core counts, fast vs reference digests, where the
   admission must refuse for free; long-epoch BSP streams and EP
-  barriers, where sessions run;
+  barriers, where sessions run, including the full-buffer stall, park
+  and re-issue the session loop runs itself and runs cut mid-session;
 * the guard predicates, one by one -- a line tagged by another core's
   epoch, an admitted line that has left the L1, and a configured fault
   injector must each keep the session from running, without perturbing
@@ -24,6 +25,7 @@ from three sides:
 
 import pytest
 
+from repro.cpu.processor import Core
 from repro.harness.check import ff_counters
 from repro.sim.config import BarrierDesign, MachineConfig, PersistencyModel
 from repro.sim.digest import run_digest, state_digest
@@ -48,23 +50,28 @@ def _programs(benchmark, config, seed, transactions, **kwargs):
     ]
 
 
-def _fast_and_reference(config, programs):
+def _fast_and_reference(config, programs, **run_kwargs):
     """Run the same programs both ways; return (fast machine, digests).
 
     Fast mode is forced explicitly so the comparison stays meaningful
     when the whole suite runs under ``REPRO_SLOW_ENGINE=1``.
+    ``run_kwargs`` go to both ``Multicore.run`` calls.
     """
     with reference_mode(False):
         machine = Multicore(config, track_values=True,
                             track_persist_order=True)
-        result = machine.run([list(p) for p in programs])
+        result = machine.run([list(p) for p in programs], **run_kwargs)
     fast_digest = state_digest(machine, result)
     with reference_mode():
         ref_machine = Multicore(
             config, track_values=True, track_persist_order=True
         )
-        ref_result = ref_machine.run([list(p) for p in programs])
+        ref_result = ref_machine.run([list(p) for p in programs],
+                                     **run_kwargs)
         ref_digest = state_digest(ref_machine, ref_result)
+    # Every virtual event draws the sequence number its scheduled twin
+    # would have drawn, so both engines hand out the same count.
+    assert machine.engine._seq == ref_machine.engine._seq
     return machine, fast_digest, ref_digest
 
 
@@ -124,6 +131,71 @@ def test_stalling_models_digest_parity(model):
     programs = _programs("queue", config, 5, 60)
     machine, fast, ref = _fast_and_reference(config, programs)
     assert fast == ref
+
+
+def _bsp_stream_config():
+    # perfbench's bsp_stream machine: 1-core BSP/LB++, stock
+    # 10,000-store hardware epochs.
+    return MachineConfig.tiny(
+        persistency=PersistencyModel.BSP,
+        barrier_design=BarrierDesign.LB_PP,
+        num_cores=1,
+    )
+
+
+def _spy_rematerialize(monkeypatch):
+    """Record, per session bail-out, whether a store completion was in
+    flight and whether the pending issue slot was a same-cycle one."""
+    seen = []
+    original = Core._ff_rematerialize
+
+    def spy(core, d_slot, n_slot):
+        now = core._engine.now
+        seen.append((d_slot is not None,
+                     n_slot is not None and n_slot[0] == now))
+        original(core, d_slot, n_slot)
+
+    monkeypatch.setattr(Core, "_ff_rematerialize", spy)
+    return seen
+
+
+@pytest.mark.parametrize("think", [0, 3])
+def test_bsp_stream_sessions_digest_parity(think, monkeypatch):
+    # The streaming steady state runs inside the session loop: a store
+    # that meets the full write buffer is counted and parked there, the
+    # completion that frees a slot re-issues it, and txn marks, ignored
+    # barriers, compute (think > 0) and buffer-forwarded loads become
+    # virtual issue events.  1,200 txns cross one hardware epoch
+    # boundary, where think=3 ends sessions with a same-cycle issue
+    # continuation outstanding.
+    config = _bsp_stream_config()
+    seen = _spy_rematerialize(monkeypatch)
+    programs = _programs("pingpong", config, 1, 1200,
+                         think_cycles=think)
+    machine, fast, ref = _fast_and_reference(config, programs)
+    assert fast == ref
+    assert ff_counters(machine)["stores"] > 0
+    assert machine.stats.domain("core0").get("wb_full_stalls") > 0
+    if think:
+        assert any(same_cycle for _, same_cycle in seen)
+
+
+@pytest.mark.parametrize("cut", [5003, 12007, 20011])
+def test_mid_session_cut_digest_parity(cut, monkeypatch):
+    # run(max_cycles=...) stops the clock while a session has a store
+    # completion in flight (and, unless the core is parked on a full
+    # buffer, its issue continuation): both must land in the heap under
+    # their original sequence numbers, so the cut machine digests
+    # exactly like the reference one cut at the same cycle.
+    config = _bsp_stream_config()
+    seen = _spy_rematerialize(monkeypatch)
+    programs = _programs("pingpong", config, 1, 600, think_cycles=3)
+    machine, fast, ref = _fast_and_reference(
+        config, programs, max_cycles=cut, drain=False
+    )
+    assert fast == ref
+    assert ff_counters(machine)["stores"] > 0
+    assert seen and seen[-1][0]  # the cut landed mid-session
 
 
 # ----------------------------------------------------------------------
